@@ -25,10 +25,9 @@ Honesty rules, enforced:
 * every backend's sweep is checked bit-identical to ``rowscan`` (best
   score and final row) before its timing is reported;
 * timings are min-of-``--repeats`` wall clock on this host, whatever
-  they turn out to be — the ledger records losses too (on a host NumPy
-  build, the anti-diagonal schedule's per-diagonal dispatch usually
-  *loses* to rowscan's per-row scan; it exists because it is the GPU
-  schedule, and the ledger proves the observables match).
+  they turn out to be — the ledger records losses too (``batched`` on a
+  single pair loses to rowscan; it exists for many small pairs, and the
+  ledger proves the observables match either way).
 
 Usage::
 
@@ -56,10 +55,9 @@ import numpy as np
 
 from repro.align.kernels import backend_names, get_backend
 from repro.errors import ConfigError
-from repro.parallel import WavefrontExecutor
 from repro.sequences.synth import random_dna
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 OUT_PATH = BENCH_DIR / "out" / "BENCH_backends.json"
 TRAJECTORY_PATH = BENCH_DIR / "trajectory" / "BENCH_backends.json"
 
@@ -80,17 +78,12 @@ def _parse_workload(spec: str) -> tuple[int, ...]:
     return dims
 
 
-def _sweep_once(backend, codes0, codes1, scheme, executor=None):
-    sweep = backend.make(codes0, codes1, scheme, executor=executor,
-                         local=True, track_best=True)
+def _sweep_once(backend, codes0, codes1, scheme):
+    sweep = backend.make(codes0, codes1, scheme, local=True, track_best=True)
     start = time.perf_counter()
     sweep.run()
     seconds = time.perf_counter() - start
-    result = (int(sweep.best), sweep.best_pos, sweep.H.copy())
-    close = getattr(sweep, "close", None)
-    if close is not None:
-        close()
-    return seconds, result
+    return seconds, _lane_result(sweep)
 
 
 def _pairs(k: int, m: int, n: int, seed: int) -> list[tuple]:
@@ -105,18 +98,17 @@ def _lane_result(sweep) -> tuple:
 
 def measure_pairs_workload(spec: str, backends: list[str], scheme, *,
                            repeats: int, seed: int = 0) -> dict:
-    """Time every *serial* backend on K independent small pairs.
+    """Time every backend on K independent small pairs.
 
     This is the workload batching exists for: construction cost and
     per-dispatch overhead dominate small matrices, so the timer wraps
     the whole loop — build sweepers, run them — not just the sweep.
-    Plain serial backends run the K pairs one after another;
+    Plain backends run the K pairs one after another;
     batch-capable backends (``KernelBackend.batch``) build K lanes and
     hand them to their module's ``sweep_batched`` in one fused dispatch.
     Before any timing is reported, every backend's per-pair
     ``best``/``best_pos``/final ``H`` row is checked bit-identical to an
-    untimed rowscan pass.  Non-serial backends are skipped (a process
-    pool per 256x256 pair would measure the pool, not the kernel).
+    untimed rowscan pass.
     """
     k, m, n = _parse_workload(spec)
     pairs = _pairs(k, m, n, seed)
@@ -136,8 +128,6 @@ def measure_pairs_workload(spec: str, backends: list[str], scheme, *,
     }
     for name in backends:
         backend = get_backend(name)
-        if not backend.serial:
-            continue
         if backend.batch:
             sweep_batched = importlib.import_module(
                 backend.factory.__module__).sweep_batched
@@ -175,7 +165,7 @@ def measure_pairs_workload(spec: str, backends: list[str], scheme, *,
 
 
 def measure_workload(spec: str, backends: list[str], scheme, *,
-                     workers: int, repeats: int, seed: int = 0) -> dict:
+                     repeats: int, seed: int = 0) -> dict:
     """Time every backend on one workload; returns its ledger entry."""
     dims = _parse_workload(spec)
     if len(dims) == 3:
@@ -187,33 +177,24 @@ def measure_workload(spec: str, backends: list[str], scheme, *,
     codes1 = random_dna(n, rng, "B").codes
     entry: dict = {"kind": "single", "cells": m * n, "backends": {}}
     reference = None
-    executor = None
-    try:
-        for name in backends:
-            backend = get_backend(name)
-            if not backend.serial and executor is None:
-                executor = WavefrontExecutor(workers)
-            best = None
-            for _ in range(max(1, repeats)):
-                seconds, result = _sweep_once(
-                    backend, codes0, codes1, scheme,
-                    executor=None if backend.serial else executor)
-                best = seconds if best is None else min(best, seconds)
-            if reference is None:
-                reference = result
-                entry["best_score"] = result[0]
-            else:
-                assert result[0] == reference[0], (name, spec, "best score")
-                assert result[1] == reference[1], (name, spec, "best pos")
-                np.testing.assert_array_equal(result[2], reference[2],
-                                              err_msg=f"{name} {spec} H row")
-            entry["backends"][name] = {
-                "seconds": best,
-                "mcups": (m * n) / best / 1e6,
-            }
-    finally:
-        if executor is not None:
-            executor.close()
+    for name in backends:
+        backend = get_backend(name)
+        best = None
+        for _ in range(max(1, repeats)):
+            seconds, result = _sweep_once(backend, codes0, codes1, scheme)
+            best = seconds if best is None else min(best, seconds)
+        if reference is None:
+            reference = result
+            entry["best_score"] = result[0]
+        else:
+            assert result[0] == reference[0], (name, spec, "best score")
+            assert result[1] == reference[1], (name, spec, "best pos")
+            np.testing.assert_array_equal(result[2], reference[2],
+                                          err_msg=f"{name} {spec} H row")
+        entry["backends"][name] = {
+            "seconds": best,
+            "mcups": (m * n) / best / 1e6,
+        }
     base = entry["backends"].get("rowscan")
     for stats in entry["backends"].values():
         stats["speedup_vs_rowscan"] = (
@@ -221,7 +202,7 @@ def measure_workload(spec: str, backends: list[str], scheme, *,
     return entry
 
 
-def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
+def build_ledger(workloads, backends, *, repeats: int) -> dict:
     from repro.align.scoring import PAPER_SCHEME
     known = backend_names()
     unknown = [b for b in backends if b not in known]
@@ -234,7 +215,6 @@ def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
         "kind": "BENCH_backends",
         "registry": list(known),
         "cpu_count": os.cpu_count(),
-        "wavefront_workers": workers,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workloads": {},
@@ -242,7 +222,7 @@ def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
     }
     for spec in workloads:
         entry = measure_workload(spec, list(backends), PAPER_SCHEME,
-                                 workers=workers, repeats=repeats)
+                                 repeats=repeats)
         ledger["workloads"][spec] = entry
         fastest = min(entry["backends"],
                       key=lambda b: entry["backends"][b]["seconds"])
@@ -301,8 +281,7 @@ def validate_ledger(ledger: dict) -> None:
 
 
 def render(ledger: dict) -> str:
-    lines = [f"kernel backend MCUPS (cpu_count={ledger['cpu_count']}, "
-             f"wavefront workers={ledger['wavefront_workers']})"]
+    lines = [f"kernel backend MCUPS (cpu_count={ledger['cpu_count']})"]
     for spec, entry in ledger["workloads"].items():
         if entry.get("kind") == "pairs":
             lines.append(f"  {spec} ({entry['pairs']} pairs, "
@@ -328,8 +307,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=None,
                         metavar="MxN", help="matrix sizes: 2048x2048 (one "
                              "pair) or 64x256x256 (K small pairs)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="wavefront pool size")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats (min wall clock wins)")
     parser.add_argument("--quick", action="store_true",
@@ -348,8 +325,7 @@ def main(argv=None) -> int:
     else:
         workloads = args.workloads or list(DEFAULT_WORKLOADS)
         repeats = args.repeats
-    ledger = build_ledger(workloads, backends,
-                          workers=args.workers, repeats=repeats)
+    ledger = build_ledger(workloads, backends, repeats=repeats)
     validate_ledger(ledger)
 
     out_path = Path(args.out) if args.out else OUT_PATH

@@ -331,8 +331,6 @@ class BatchedRowSweeper(RowSweeper):
 register_backend(KernelBackend(
     name="batched",
     factory=BatchedRowSweeper,
-    serial=True,
-    interior_taps=True,
     batch=True,
     description="rowscan with a leading batch axis: K pairs per NumPy "
                 "dispatch (sweep_batched fuses many lanes; the registered "

@@ -6,36 +6,27 @@ rows, taps, saved rows and best/watch observables — and
 :class:`~repro.align.rowscan.RowSweeper` defines that interface.  This
 module hoists the *choice* of implementation out of the call sites: a
 backend is a named factory producing a RowSweeper-compatible object, and
-executors (:func:`repro.parallel.sweeper.make_sweeper`) compose with
-inner kernels through the registry instead of hard-coding one class.
+every sweep is built as ``get_backend(config.kernel).make(...)``.
 
 Built-in backends:
 
 * ``rowscan`` — the serial reference: per-row vectorization with the
   prefix-max E scan (:class:`~repro.align.rowscan.RowSweeper`).
-* ``diagonal`` — NumPy anti-diagonal vectorization of the same
-  recurrence (:class:`~repro.align.diagonal.DiagonalSweeper`), the
-  GPU-shaped schedule on host arrays.
 * ``batched`` — rowscan with a leading batch axis
   (:class:`~repro.align.batched.BatchedRowSweeper`): K independent
   pairs per NumPy dispatch, the AnySeq/SaLoBa many-alignments-per-launch
   schedule on host arrays.  Registered as the single-pair facade; the
   multi-lane entry points are ``sweep_lanes``/``sweep_batched``.
-* ``wavefront`` — the tile-grid process-pool sweep
-  (:class:`~repro.parallel.sweeper.ParallelRowSweeper`); not a serial
-  kernel — it needs (or simulates) an executor.
 
 The contract every backend must honour is **bit-identity**: identical
 H/E/F rows, ``best``/``best_pos``, ``watch_hit``, saved rows, taps,
-``cells`` and ``state_dict`` checkpoints for every input the serial
-kernel accepts (capability flags below narrow the input space a backend
-supports — e.g. the wavefront grid only taps the final column).  The
-conformance suite (``tests/test_kernel_backends.py``) enforces this for
-every registered backend; see docs/API.md "Kernel backends".
+``cells`` and ``state_dict`` checkpoints for every input the reference
+kernel accepts.  The conformance suite (``tests/test_kernel_backends.py``)
+enforces this for every registered backend; see docs/API.md "Kernel
+backends".
 
-Builtins load lazily so the layering stays acyclic: this module lives in
-the align layer and never imports :mod:`repro.parallel`; the wavefront
-backend registers itself when its module is first imported.
+Builtins other than ``rowscan`` load lazily: a backend registers itself
+when its module is first imported.
 """
 
 from __future__ import annotations
@@ -46,50 +37,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import ScoringScheme
-
-
-def boundary_column(m: int, scheme: ScoringScheme, *, local: bool,
-                    start_gap: int = TYPE_MATCH, forced: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-0 boundary ``(H, E, X)`` for rows ``1..m``, in closed form.
-
-    Tiled and diagonal backends need the sweep's own boundary column
-    without running the serial row loop.  For local sweeps that is the
-    zero floor.  For global sweeps the serial kernel evolves the column
-    as::
-
-        F(i, 0) = max(F(i-1, 0) - G_ext, H(i-1, 0) - G_first)
-        H(i, 0) = max(F(i, 0), -inf)        # E(i, 0) is pinned to -inf
-
-    Because ``G_first >= G_ext`` this collapses to the arithmetic ramp
-    ``F(1, 0) - (i - 1) * G_ext`` floored at ``-inf - G_first`` (the
-    floor binds only when a forced boundary drives F below -inf, where
-    re-opening from the clamped H beats extending the sinking run), with
-    H the ramp clamped at -inf.
-
-    Three arrays come back because the serial kernel uses *different*
-    column-0 values for different roles, and bit-identity requires each:
-    ``H`` (clamped) is what the diagonal term and best/watch tracking
-    see; ``X`` (the unclamped F) seeds the in-row E scan; ``E`` is
-    ``X - G_open`` so the tile seed ``max(X, E + G_open)`` stays exactly
-    ``X`` — the serial seed.
-    """
-    if local:
-        zeros = np.zeros(m, dtype=SCORE_DTYPE)
-        return zeros, np.full(m, NEG_INF, dtype=SCORE_DTYPE), zeros
-    h_init = int(NEG_INF) if forced else 0
-    f_init = 0 if start_gap == TYPE_GAP_S1 else int(NEG_INF)
-    f_row1 = max(f_init - scheme.gap_ext, h_init - scheme.gap_first)
-    ramp = np.arange(m, dtype=np.int64) * scheme.gap_ext
-    left_X = np.maximum(f_row1 - ramp,
-                        int(NEG_INF) - scheme.gap_first).astype(SCORE_DTYPE)
-    left_H = np.maximum(left_X, NEG_INF)
-    left_E = left_X - SCORE_DTYPE(scheme.gap_open)
-    return left_H, left_E, left_X
 
 
 @dataclass(frozen=True)
@@ -99,14 +49,7 @@ class KernelBackend:
     Attributes:
         name: registry key (``--kernel`` / ``PipelineConfig.kernel``).
         factory: callable with :class:`RowSweeper`'s signature returning
-            a RowSweeper-compatible sweeper.  Non-serial backends also
-            accept ``executor`` / ``metrics`` / ``strip_cols``.
-        serial: the backend runs in-process with no executor attached,
-            making it eligible as the pipeline's inner kernel
-            (``PipelineConfig.kernel``); non-serial backends are reached
-            through ``make_sweeper``'s executor routing instead.
-        interior_taps: the backend supports ``tap_columns`` other than
-            ``[n]`` (the wavefront grid only reads the final column).
+            a RowSweeper-compatible sweeper.
         batch: the backend's module exposes multi-lane fused sweeps
             (``sweep_lanes``/``sweep_batched``) that advance many
             independent sweepers per dispatch; consumers such as the
@@ -117,31 +60,22 @@ class KernelBackend:
 
     name: str
     factory: Callable[..., RowSweeper]
-    serial: bool = True
-    interior_taps: bool = True
     batch: bool = False
     description: str = ""
 
     def make(self, codes0: np.ndarray, codes1: np.ndarray,
-             scheme: ScoringScheme, *, executor=None, metrics=None,
-             strip_cols=None, **kwargs) -> RowSweeper:
-        """Build a sweeper; executor plumbing only reaches backends that
-        take it, so serial kernels keep the plain RowSweeper signature."""
-        if self.serial:
-            return self.factory(codes0, codes1, scheme, **kwargs)
-        return self.factory(codes0, codes1, scheme, executor=executor,
-                            metrics=metrics, strip_cols=strip_cols, **kwargs)
+             scheme: ScoringScheme, **kwargs) -> RowSweeper:
+        """Build a sweeper; ``kwargs`` are :class:`RowSweeper`'s."""
+        return self.factory(codes0, codes1, scheme, **kwargs)
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
 
 #: Builtins resolve lazily: importing the named module registers the
-#: backend.  Keeps repro.align free of any repro.parallel import.
+#: backend.
 _BUILTIN_MODULES = {
     "rowscan": "repro.align.kernels",
-    "diagonal": "repro.align.diagonal",
     "batched": "repro.align.batched",
-    "wavefront": "repro.parallel.sweeper",
 }
 
 
@@ -177,16 +111,8 @@ def backend_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def serial_kernel_names() -> tuple[str, ...]:
-    """Backends eligible as the in-process kernel (``--kernel``)."""
-    _load_builtins()
-    return tuple(sorted(n for n, b in _REGISTRY.items() if b.serial))
-
-
 register_backend(KernelBackend(
     name="rowscan",
     factory=RowSweeper,
-    serial=True,
-    interior_taps=True,
     description="per-row vectorization with the prefix-max E scan "
                 "(the serial reference kernel)"))

@@ -12,11 +12,11 @@ A corrupt or torn checkpoint raises :class:`~repro.errors.IntegrityError`
 ``OSError`` traceback — Stage 1 catches it and falls back to a fresh
 sweep, so a bad block costs wall-clock, not the run.
 
-Checkpoints are *executor-agnostic*: the parallel wavefront sweeper
-(:class:`~repro.parallel.ParallelRowSweeper`) shares the serial kernel's
+Checkpoints are *kernel-agnostic*: every registered sweep backend
+(:mod:`repro.align.kernels`) shares the ``rowscan`` kernel's
 ``state_dict``/``load_state`` contract and produces bit-identical state,
-so a run checkpointed under ``--executor wavefront`` resumes under
-``serial`` and vice versa — the file records matrix state, not schedule.
+so a run checkpointed under ``--kernel batched`` resumes under
+``rowscan`` and vice versa — the file records matrix state, not schedule.
 """
 
 from __future__ import annotations

@@ -35,21 +35,11 @@ class PipelineConfig:
             per matching round).
         stage4_orthogonal: goal-based reverse halves in Stage 4.
         stage4_balanced: balanced splitting (halve the largest dimension).
-        executor: sweep execution model — ``"serial"`` runs every sweep
-            on the monolithic kernel; ``"wavefront"`` runs stages 1-3 as
-            tile grids on a process pool of ``workers`` sweep workers and
-            fans Stage-4/5 partitions across the same pool.  Both are
-            bit-identical; the choice is purely a performance knob.
-        kernel: the in-process sweep kernel, by registry name
-            (:func:`repro.align.kernels.serial_kernel_names`) —
-            ``"rowscan"`` is the per-row reference, ``"diagonal"`` the
-            anti-diagonal vectorization.  Composes with ``executor``:
-            sweeps the wavefront grid does not take (small matrices,
-            interior taps) fall back to this kernel.  All backends are
-            bit-identical; the choice is purely a performance knob.
-        workers: CPU parallelism — sweep processes under the
-            ``"wavefront"`` executor, threads for the partition-parallel
-            stages under ``"serial"``.
+        kernel: the sweep kernel of Stages 1-4, by registry name
+            (:func:`repro.align.kernels.backend_names`) — ``"rowscan"``
+            is the per-row reference.  All backends are bit-identical;
+            the choice is purely a performance knob.
+        workers: threads for the partition-parallel stages (3-5).
         checkpoint_every_rows: Stage-1 checkpoint interval in matrix rows
             (requires a workdir); None disables checkpointing.
     """
@@ -67,23 +57,15 @@ class PipelineConfig:
     stage3_strip: int = 128
     stage4_orthogonal: bool = True
     stage4_balanced: bool = True
-    executor: str = "serial"
     kernel: str = "rowscan"
     workers: int = 1
     checkpoint_every_rows: int | None = None
 
-    #: Valid ``executor`` values.
-    EXECUTORS = ("serial", "wavefront")
-
     def __post_init__(self) -> None:
-        if self.executor not in self.EXECUTORS:
+        from repro.align.kernels import backend_names
+        if self.kernel not in backend_names():
             raise ConfigError(
-                f"executor must be one of {self.EXECUTORS}, "
-                f"got {self.executor!r}")
-        from repro.align.kernels import serial_kernel_names
-        if self.kernel not in serial_kernel_names():
-            raise ConfigError(
-                f"kernel must be one of {list(serial_kernel_names())}, "
+                f"kernel must be one of {list(backend_names())}, "
                 f"got {self.kernel!r}")
         if self.checkpoint_every_rows is not None and self.checkpoint_every_rows < 1:
             raise ConfigError("checkpoint interval must be positive")

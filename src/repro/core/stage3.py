@@ -32,8 +32,8 @@ import numpy as np
 from repro.constants import TYPE_GAP_S0, TYPE_MATCH
 from repro.errors import IntegrityError, MatchingError
 from repro.integrity.codec import KIND_SPECIAL_LINE
+from repro.align.kernels import get_backend
 from repro.core.config import PipelineConfig
-from repro.parallel.sweeper import make_sweeper
 from repro.core.crosspoints import Crosspoint
 from repro.core.result import StageResult
 from repro.core.stage2 import BandRecord, Stage2Result
@@ -72,8 +72,8 @@ def _match_on_row(anchor: Crosspoint, jc: int, line, scheme, goal: int
 
 
 def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
-                sca: SpecialLineStore, band: BandRecord, tel=NULL_TELEMETRY,
-                executor=None) -> tuple[list[Crosspoint], int, float]:
+                sca: SpecialLineStore, band: BandRecord, tel=NULL_TELEMETRY
+                ) -> tuple[list[Crosspoint], int, float]:
     """Find the crosspoints of one partition; returns (points, cells, t_model)."""
     scheme = config.scheme
     gopen = scheme.gap_open
@@ -107,11 +107,9 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
         col_H = line.H.astype(np.int64)
         col_E = line.G.astype(np.int64)
 
-        sweep = make_sweeper(s0.codes[anchor.i:end.i], s1.codes[anchor.j:jc],
-                             scheme, kernel=config.kernel,
-                             executor=executor, metrics=tel.metrics,
-                             start_gap=anchor.type,
-                             tap_columns=np.array([w]), tracer=tracer)
+        sweep = get_backend(config.kernel).make(
+            s0.codes[anchor.i:end.i], s1.codes[anchor.j:jc], scheme,
+            start_gap=anchor.type, tap_columns=np.array([w]), tracer=tracer)
         found: Crosspoint | None = None
         next_i = 0
         while found is None:
@@ -143,7 +141,6 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
                     f"{band.namespace} (goal {goal})")
             sweep.advance(config.stage3_strip)
         cells += sweep.cells
-        getattr(sweep, "close", lambda: None)()
         sub_h = max(1, sweep.cells // max(1, w))
         grid = config.grid3.shrink_to(max(w, 1), config.device)
         modeled += sweep_cost(sub_h, w, grid, config.device).seconds
@@ -154,13 +151,8 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
 
 def run_stage3(s0: Sequence, s1: Sequence, config: PipelineConfig,
                sca: SpecialLineStore, stage2: Stage2Result, *,
-               telemetry=None, executor=None) -> Stage3Result:
-    """Refine every Stage-2 partition against its saved special columns.
-
-    With a wavefront executor the bands run serially here and each band's
-    sweep parallelises internally on the pool (dispatching tile diagonals
-    from concurrent threads would interleave on the worker pipes).
-    """
+               telemetry=None) -> Stage3Result:
+    """Refine every Stage-2 partition against its saved special columns."""
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     start = time.perf_counter()
     total_cells = 0
@@ -171,9 +163,9 @@ def run_stage3(s0: Sequence, s1: Sequence, config: PipelineConfig,
         def work(band: BandRecord):
             # Re-anchor worker-thread spans under the stage span.
             with tel.attach(stage_span):
-                return _split_band(s0, s1, config, sca, band, tel, executor)
+                return _split_band(s0, s1, config, sca, band, tel)
 
-        if config.workers > 1 and executor is None:
+        if config.workers > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 results = list(pool.map(work, stage2.bands))
         else:

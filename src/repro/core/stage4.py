@@ -95,15 +95,8 @@ def _oversized(partition: Partition, limit: int) -> bool:
 
 
 def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
-               chain: CrosspointChain, *, telemetry=None,
-               executor=None) -> Stage4Result:
-    """Refine the chain until every partition fits max_partition_size.
-
-    With a wavefront executor the per-iteration splits fan across its
-    process pool (largest partition first — the split cost is ~area, so
-    size-aware order bounds the makespan); the sequence codes are shared
-    once per stage, not pickled per split.
-    """
+               chain: CrosspointChain, *, telemetry=None) -> Stage4Result:
+    """Refine the chain until every partition fits max_partition_size."""
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     mm_config = MMConfig(orthogonal=config.stage4_orthogonal,
                          balanced=config.stage4_balanced,
@@ -115,11 +108,6 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
     total_wall = 0.0
     total_modeled = 0.0
     total_splits = 0
-    shared = []
-    refs = {}
-    if executor is not None:
-        shared = [executor.share(s0.codes), executor.share(s1.codes)]
-        refs = {"codes0": shared[0].ref, "codes1": shared[1].ref}
 
     with tel.span("stage4", max_partition_size=limit) as stage_span:
         it = 0
@@ -142,13 +130,7 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
                                             local, tracer=tel.tracer)
                 return point, local
 
-            if executor is not None:
-                payloads = [{"partition": p, "scheme": config.scheme,
-                             "mm_config": mm_config} for _, p in todo]
-                results = executor.map_calls(
-                    "split", payloads, refs,
-                    sizes=[p.area for _, p in todo])
-            elif config.workers > 1:
+            if config.workers > 1:
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
                     results = list(pool.map(split, todo))
             else:
@@ -196,7 +178,4 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
         tel.metrics.counter("cells.swept").add(result.cells)
         tel.metrics.counter("stage4.partitions_split").add(total_splits)
         tel.metrics.gauge("crosspoints.L4").set(len(result.crosspoints))
-        if executor is not None:
-            # On the exception path executor.close() unlinks these.
-            executor.release(shared)
         return result

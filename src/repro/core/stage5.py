@@ -68,14 +68,8 @@ def align_partition(s0: Sequence, s1: Sequence, partition: Partition,
 
 
 def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
-               chain: CrosspointChain, *, telemetry=None,
-               executor=None) -> Stage5Result:
-    """Align all partitions, concatenate, emit the binary representation.
-
-    With a wavefront executor the base cases fan across its process pool,
-    largest area first; degenerate partitions go through the same path
-    (the worker emits their gap run inline at O(length) cost).
-    """
+               chain: CrosspointChain, *, telemetry=None) -> Stage5Result:
+    """Align all partitions, concatenate, emit the binary representation."""
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     tick = time.perf_counter()
     partitions = chain.partitions()
@@ -90,16 +84,7 @@ def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
         def work(p: Partition):
             return align_partition(s0, s1, p, config)
 
-        if executor is not None:
-            shared = [executor.share(s0.codes), executor.share(s1.codes)]
-            refs = {"codes0": shared[0].ref, "codes1": shared[1].ref}
-            payloads = [{"partition": p, "scheme": config.scheme}
-                        for p in partitions]
-            results = executor.map_calls("align", payloads, refs,
-                                         sizes=[p.area for p in partitions])
-            # On the exception path executor.close() unlinks these.
-            executor.release(shared)
-        elif config.workers > 1:
+        if config.workers > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 results = list(pool.map(work, partitions))
         else:

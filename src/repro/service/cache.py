@@ -42,6 +42,9 @@ def config_fingerprint(config: PipelineConfig) -> str:
     payload = json_safe(dataclasses.asdict(config))
     for name in NON_SEMANTIC_FIELDS:
         payload.pop(name, None)
+    # Keys from before the wavefront executor's removal hashed
+    # ``executor: "serial"``; keeping it leaves their cache entries valid.
+    payload["executor"] = "serial"
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

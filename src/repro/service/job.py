@@ -66,11 +66,11 @@ class JobSpec:
     resume Stage 1 from the latest checkpoint; set it to ``None`` to make
     every retry start over.
 
-    ``kernel`` picks the in-process sweep backend by registry name
-    (``rowscan`` / ``diagonal``); ``executor`` picks the execution model.
-    Both route through :class:`~repro.core.config.PipelineConfig`, so
-    the gateway and batch spec files can steer jobs per backend — all
-    backends are bit-identical, the knob is purely performance.
+    ``kernel`` picks the sweep backend by registry name (``rowscan`` /
+    ``batched``) and routes through
+    :class:`~repro.core.config.PipelineConfig`, so the gateway and batch
+    spec files can steer jobs per backend — all backends are
+    bit-identical, the knob is purely performance.
 
     ``stall_seconds`` and ``max_rss_bytes`` override the service-wide
     supervision defaults per job (``None`` defers to the supervisor).
@@ -94,7 +94,6 @@ class JobSpec:
     block_rows: int = 64
     sra_rows: int = 8
     max_partition_size: int = 32
-    executor: str = "serial"
     kernel: str = "rowscan"
     workers: int = 1
     checkpoint_every_rows: int | None = 64
@@ -151,7 +150,7 @@ class JobSpec:
         return small_config(
             block_rows=self.block_rows, n=n, sra_rows=self.sra_rows,
             max_partition_size=self.max_partition_size, scheme=self.scheme,
-            executor=self.executor, kernel=self.kernel, workers=self.workers,
+            kernel=self.kernel, workers=self.workers,
             checkpoint_every_rows=self.checkpoint_every_rows)
 
     # ------------------------------------------------------------- codecs
@@ -167,12 +166,21 @@ class JobSpec:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "JobSpec":
+        kwargs = dict(data)
+        # Journals written before the wavefront executor was removed carry
+        # ``"executor": "serial"`` in every spec; that value is today's
+        # only behaviour, so it replays.  Anything else cannot run.
+        executor = kwargs.pop("executor", "serial")
+        if executor != "serial":
+            raise ConfigError(
+                f"job spec executor {executor!r} is no longer supported: "
+                f"the wavefront executor was removed (every job runs "
+                f"serially; use 'workers' for thread parallelism)")
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ConfigError(
                 f"unknown job spec fields: {sorted(unknown)}")
-        kwargs = dict(data)
         scheme = kwargs.get("scheme")
         if isinstance(scheme, (list, tuple)):
             kwargs["scheme"] = ScoringScheme(*scheme)

@@ -57,7 +57,7 @@ class BatchConfig:
     (:func:`repro.align.batched.sweep_batched`).
 
     A job qualifies only when the fused sweep is exactly equivalent to
-    its solo run: serial executor, no per-spec deadline/stall/RSS
+    its solo run: no per-spec deadline/stall/RSS
     envelope, no chaos injections, and a first attempt (retries resume
     from their checkpoint, so they run solo).  Disqualified jobs
     dispatch normally and are counted under
@@ -365,8 +365,6 @@ class AlignmentService:
         checkpoint, which the fused presweep would ignore.
         """
         spec = record.spec
-        if spec.executor != "serial":
-            return "executor"
         if (spec.deadline_seconds is not None
                 or spec.stall_seconds is not None
                 or spec.max_rss_bytes is not None):

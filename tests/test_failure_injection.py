@@ -126,32 +126,20 @@ class TestStorageFaults:
         assert len(sra.positions(ROWS_NS)) <= 1
 
 
-def _stage1_wavefront(s0, s1, config, sra_dir, ckpt) -> None:
-    """Child-process body: a pooled wavefront Stage 1 with checkpointing."""
-    from repro.parallel import WavefrontExecutor
-
-    # Own process group so the parent's SIGKILL takes the executor's
-    # worker processes down too (they would otherwise linger on their
-    # task pipes, holding inherited descriptors open).
-    os.setpgrp()
+def _stage1_checkpointed(s0, s1, config, sra_dir, ckpt) -> None:
+    """Child-process body: a disk-backed Stage 1 with checkpointing."""
     sra = SpecialLineStore(config.sra_bytes, directory=sra_dir)
-    executor = WavefrontExecutor(2)
-    try:
-        run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
-                   checkpoint_every_rows=16, executor=executor)
-    finally:
-        executor.close()
+    run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
+               checkpoint_every_rows=16)
 
 
 class TestParallelStage1Kill:
-    """SIGKILL in the middle of a *parallel* Stage 1: the checkpoint and
-    the durable SRA must bring a resumed sweep to the exact same result
-    as an uninterrupted serial run — worker processes, shared-memory
-    segments and all die with the victim, none of it is durable state."""
+    """SIGKILL in the middle of a Stage-1 sweep: the checkpoint and the
+    durable SRA must bring a resumed sweep to the exact same result as
+    an uninterrupted run — the victim's in-memory sweep state dies with
+    it, none of it is durable state."""
 
     def test_sigkill_mid_sweep_resumes_bit_identical(self, tmp_path, rng):
-        from repro.parallel import WavefrontExecutor
-
         s0, s1 = make_pair(rng, 300, 280)
         config = small_config(block_rows=32, n=len(s1), sra_rows=5)
 
@@ -159,51 +147,33 @@ class TestParallelStage1Kill:
 
         sra_dir = str(tmp_path / "sra")
         ckpt = str(tmp_path / "stage1.ckpt")
-        shm_dir = "/dev/shm"
-        shm_before = (set(os.listdir(shm_dir))
-                      if os.path.isdir(shm_dir) else None)
         ctx = multiprocessing.get_context("fork")
-        victim = ctx.Process(target=_stage1_wavefront,
+        victim = ctx.Process(target=_stage1_checkpointed,
                              args=(s0, s1, config, sra_dir, ckpt))
         victim.start()
         deadline = time.monotonic() + 60
         while victim.is_alive() and not os.path.exists(ckpt):
             if time.monotonic() > deadline:  # pragma: no cover
-                os.killpg(victim.pid, signal.SIGKILL)
+                victim.kill()
                 victim.join()
                 pytest.fail("no checkpoint appeared within 60s")
             time.sleep(0.002)
         killed = victim.is_alive()
         if killed:
-            try:
-                os.killpg(victim.pid, signal.SIGKILL)
-            except ProcessLookupError:  # finished in the window
-                killed = False
+            victim.kill()
         victim.join()
+        # A victim that finished inside the window exits 0, not -SIGKILL.
+        killed = killed and victim.exitcode == -signal.SIGKILL
 
         sra = SpecialLineStore(config.sra_bytes, directory=sra_dir,
                                recover=True)
-        executor = WavefrontExecutor(2)
-        try:
-            resumed = run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
-                                 checkpoint_every_rows=16, executor=executor)
-        finally:
-            executor.close()
+        resumed = run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
+                             checkpoint_every_rows=16)
         if killed:
             assert resumed.resumed_from_row > 0
         assert resumed.best_score == reference.best_score
         assert resumed.end_point == reference.end_point
         assert resumed.special_rows == reference.special_rows
-
-        # SIGKILL takes the victim's resource tracker down with it, so
-        # its shared-memory segments cannot be unlinked by anyone —
-        # sweep them here (the resumed executor already unlinked its own).
-        if shm_before is not None:
-            for name in set(os.listdir(shm_dir)) - shm_before:
-                try:
-                    os.unlink(os.path.join(shm_dir, name))
-                except OSError:  # pragma: no cover
-                    pass
 
 
 def _strike(path, fault: str) -> None:

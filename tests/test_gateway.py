@@ -224,6 +224,15 @@ class TestProtocol:
             assert result["result"][key] == direct[key], key
         client.close()
 
+    def test_removed_executor_rejected(self, gateway_factory):
+        runner = gateway_factory()
+        client = Client(runner.port)
+        status, _, body = client.request(
+            "POST", "/v1/jobs", {**TINY, "executor": "wavefront"})
+        assert status == 400
+        assert "wavefront executor was removed" in body["error"]
+        client.close()
+
     def test_rejections(self, gateway_factory):
         runner = gateway_factory(max_body=512)
         client = Client(runner.port)

@@ -8,9 +8,8 @@ assertion (:func:`tests.conftest.assert_sweeps_identical`) on inputs
 chosen to break lookalikes: N-heavy sequences through the substitution
 LUT, the ``gap_first == gap_ext`` scan boundary, one-row and one-column
 matrices, every forced/start-gap regime, windowed ``advance`` cuts, and
-cross-backend checkpoint resume.  It also pins ``make_sweeper``'s
-routing (including the ``kernel.fallback`` signal) and the bench
-ledger's refusal to report names the registry cannot back.
+cross-backend checkpoint resume.  It also pins the bench ledger's
+refusal to report names the registry cannot back.
 """
 
 from __future__ import annotations
@@ -23,17 +22,14 @@ import pytest
 
 from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError
-from repro.align import DiagonalSweeper, RowSweeper
+from repro.align import RowSweeper
 from repro.align.kernels import (KernelBackend, backend_names, get_backend,
-                                 register_backend, serial_kernel_names,
-                                 _REGISTRY)
+                                 register_backend, _REGISTRY)
 from repro.align.myers_miller import MMConfig, find_midpoint, mm_score
 from repro.align.scoring import PAPER_SCHEME
 from repro.core import CUDAlign, small_config
-from repro.parallel import MIN_PARALLEL_CELLS, ParallelRowSweeper
 from repro.service import JobSpec
 from repro.sequences.sequence import N_CODE, Sequence
-from repro.telemetry.metrics import MetricsRegistry
 
 from tests.conftest import SCHEMES, assert_sweeps_identical, make_pair
 
@@ -55,8 +51,6 @@ NON_REFERENCE = [b for b in ALL_BACKENDS if b != "rowscan"]
 
 
 def _make(name, s0, s1, scheme, **kw):
-    # Non-serial backends run inline (executor=None): same schedule, no
-    # pool — conformance is about the arithmetic, not the transport.
     return get_backend(name).make(s0.codes, s1.codes, scheme, **kw)
 
 
@@ -72,12 +66,7 @@ def _n_heavy_pair(rng, m, n, frac=0.3):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(ALL_BACKENDS) >= {"rowscan", "diagonal", "batched",
-                                     "wavefront"}
-        assert set(serial_kernel_names()) == {"rowscan", "diagonal",
-                                              "batched"}
-        assert not get_backend("wavefront").serial
-        assert not get_backend("wavefront").interior_taps
+        assert set(ALL_BACKENDS) >= {"rowscan", "batched"}
         assert get_backend("batched").batch
         assert not get_backend("rowscan").batch
 
@@ -97,7 +86,6 @@ class TestRegistry:
         try:
             assert get_backend("__test_backend__") is backend
             assert "__test_backend__" in backend_names()
-            assert "__test_backend__" in serial_kernel_names()
         finally:
             _REGISTRY.pop("__test_backend__")
 
@@ -175,14 +163,12 @@ class TestConformance:
         assert other.done
 
     def test_interior_taps(self, rng):
-        # Interior tap columns are a capability, not part of the base
-        # contract: conformance applies to every backend that claims it.
+        # Taps at interior columns, not just the final one (Stage 3's
+        # special-column matching reads whichever column it targets).
         s0, s1 = make_pair(rng, 50, 44)
-        capable = [n for n in ALL_BACKENDS
-                   if get_backend(n).interior_taps and n != "rowscan"]
-        assert "diagonal" in capable
+        assert "batched" in NON_REFERENCE
         taps = np.array([1, 17, len(s1)])
-        for name in capable:
+        for name in NON_REFERENCE:
             for _, regime in REGIMES:
                 ref = _make("rowscan", s0, s1, PAPER_SCHEME,
                             tap_columns=taps, **regime).run()
@@ -191,102 +177,36 @@ class TestConformance:
                 assert_sweeps_identical(ref, other)
 
     def test_checkpoint_resumes_across_backends(self, rng):
-        # A state_dict written by the diagonal kernel mid-sweep resumes
+        # A state_dict written by the batched kernel mid-sweep resumes
         # the rowscan kernel (and vice versa) to the same final state —
         # the property that makes Stage-1 checkpoints backend-agnostic.
         s0, s1 = make_pair(rng, 90, 70)
         kw = dict(local=True, track_best=True)
         reference = _make("rowscan", s0, s1, PAPER_SCHEME, **kw).run()
 
-        diag = _make("diagonal", s0, s1, PAPER_SCHEME, **kw)
-        diag.advance(41)
+        batched = _make("batched", s0, s1, PAPER_SCHEME, **kw)
+        batched.advance(41)
         resumed = _make("rowscan", s0, s1, PAPER_SCHEME, **kw)
-        resumed.load_state(diag.state_dict())
+        resumed.load_state(batched.state_dict())
         assert_sweeps_identical(reference, resumed.run())
-        assert_sweeps_identical(reference, diag.run())
+        assert_sweeps_identical(reference, batched.run())
 
         row = _make("rowscan", s0, s1, PAPER_SCHEME, **kw)
         row.advance(41)
-        resumed = _make("diagonal", s0, s1, PAPER_SCHEME, **kw)
+        resumed = _make("batched", s0, s1, PAPER_SCHEME, **kw)
         resumed.load_state(row.state_dict())
         assert_sweeps_identical(reference, resumed.run())
 
 
-class TestMakeSweeperRouting:
-    def test_kernel_selects_backend(self, rng):
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 40, 40)
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             kernel="diagonal")
-        assert type(sweep) is DiagonalSweeper
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME)
-        assert type(sweep) is RowSweeper
-
-    def test_non_serial_kernel_rejected(self, rng):
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 16, 16)
-        with pytest.raises(ConfigError, match="not an in-process backend"):
-            make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                         kernel="wavefront")
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            make_sweeper(s0.codes, s1.codes, PAPER_SCHEME, kernel="gpu")
-
-    def test_small_matrix_fallback_is_signalled(self, rng):
-        # The silent-serial-fallback bug: an attached executor that ends
-        # up unused must tick kernel.fallback with a reason, not vanish.
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 40, 40)
-        assert 40 * 40 < MIN_PARALLEL_CELLS
-        metrics = MetricsRegistry()
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             kernel="diagonal", executor=object(),
-                             metrics=metrics)
-        assert type(sweep) is DiagonalSweeper
-        snap = metrics.snapshot()
-        assert snap["kernel.fallback"] == 1
-        assert snap["kernel.fallback.small_matrix"] == 1
-
-    def test_interior_tap_fallback_is_signalled(self, rng):
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 200, 200)
-        metrics = MetricsRegistry()
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             executor=object(), metrics=metrics,
-                             tap_columns=np.array([3, 200]))
-        assert type(sweep) is RowSweeper
-        snap = metrics.snapshot()
-        assert snap["kernel.fallback"] == 1
-        assert snap["kernel.fallback.interior_taps"] == 1
-
-    def test_no_executor_is_not_a_fallback(self, rng):
-        # Serial-by-configuration is the requested path, not a fallback.
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 40, 40)
-        metrics = MetricsRegistry()
-        make_sweeper(s0.codes, s1.codes, PAPER_SCHEME, metrics=metrics)
-        assert "kernel.fallback" not in metrics.snapshot()
-
-    def test_executor_routes_to_wavefront(self, rng):
-        from repro.parallel import WavefrontExecutor, make_sweeper
-        s0, s1 = make_pair(rng, 200, 180)
-        with WavefrontExecutor(1) as executor:
-            metrics = MetricsRegistry()
-            sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                                 kernel="diagonal", executor=executor,
-                                 metrics=metrics)
-            assert isinstance(sweep, ParallelRowSweeper)
-            assert "kernel.fallback" not in metrics.snapshot()
-            sweep.close()
-
-
 class TestPipelineParity:
-    def test_diagonal_pipeline_bit_identical(self, rng, tmp_path):
+    def test_batched_pipeline_bit_identical(self, rng, tmp_path):
         s0, s1 = make_pair(rng, 300, 280)
         ref_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5)
-        diag_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5,
-                                kernel="diagonal")
+        batched_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5,
+                                   kernel="batched")
         ref = CUDAlign(ref_cfg, workdir=str(tmp_path / "row")).run(s0, s1)
-        out = CUDAlign(diag_cfg, workdir=str(tmp_path / "diag")).run(s0, s1)
+        out = CUDAlign(batched_cfg,
+                       workdir=str(tmp_path / "batched")).run(s0, s1)
         assert out.best_score == ref.best_score
         assert out.stage1.end_point == ref.stage1.end_point
         assert out.stage1.special_rows == ref.stage1.special_rows
@@ -303,20 +223,20 @@ class TestPipelineParity:
 
     def test_myers_miller_parity(self, rng):
         s0, s1 = make_pair(rng, 120, 100)
-        assert (mm_score(s0.codes, s1.codes, PAPER_SCHEME, kernel="diagonal")
+        assert (mm_score(s0.codes, s1.codes, PAPER_SCHEME, kernel="batched")
                 == mm_score(s0.codes, s1.codes, PAPER_SCHEME))
         ref = find_midpoint(s0.codes, s1.codes, PAPER_SCHEME,
                             config=MMConfig(kernel="rowscan"))
-        diag = find_midpoint(s0.codes, s1.codes, PAPER_SCHEME,
-                             config=MMConfig(kernel="diagonal"))
-        assert diag == ref
+        batched = find_midpoint(s0.codes, s1.codes, PAPER_SCHEME,
+                                config=MMConfig(kernel="batched"))
+        assert batched == ref
         with pytest.raises(ConfigError):
             MMConfig(kernel="wavefront")
 
     def test_job_spec_round_trips_kernel(self):
-        spec = JobSpec(seq0="a.fa", seq1="b.fa", kernel="diagonal")
-        assert JobSpec.from_json(spec.to_json()).kernel == "diagonal"
-        assert spec.pipeline_config(n=4096).kernel == "diagonal"
+        spec = JobSpec(seq0="a.fa", seq1="b.fa", kernel="batched")
+        assert JobSpec.from_json(spec.to_json()).kernel == "batched"
+        assert spec.pipeline_config(n=4096).kernel == "batched"
         with pytest.raises(ConfigError):
             JobSpec(seq0="a.fa", seq1="b.fa", kernel="warpspeed")
 
@@ -354,11 +274,10 @@ class TestBenchLedger:
 
     def test_build_refuses_unknown_backends(self):
         with pytest.raises(ConfigError, match="refuses to report"):
-            build_ledger(["8x8"], ["rowscan", "cuda"], workers=1, repeats=1)
+            build_ledger(["8x8"], ["rowscan", "cuda"], repeats=1)
 
     def test_measured_entry_validates(self):
-        ledger = build_ledger(["48x40"], ["rowscan", "diagonal"],
-                              workers=1, repeats=1)
+        ledger = build_ledger(["48x40"], ["rowscan", "batched"], repeats=1)
         validate_ledger(ledger)
         entry = ledger["workloads"]["48x40"]
         assert entry["cells"] == 48 * 40

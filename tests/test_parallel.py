@@ -1,170 +1,40 @@
-"""The wavefront executor's contract is bit-identity, not approximation.
+"""Host parallelism budget and the column-0 boundary every kernel keeps.
 
-Every test here compares the tile-grid sweep (``repro.parallel``) against
-the monolithic serial kernel on the same inputs and asserts *exact*
-equality of every observable — H/E/F rows, best cell, watch hit, saved
-rows, final-column taps, checkpoints, and the full six-stage pipeline's
-binary alignment.  Geometries are adversarial on purpose: one-column
-strips, strips wider than the matrix, widths that don't divide n, and
-forced/start-gap boundary sweeps whose column-0 algebra is the subtlest
-part of the tiling.
+``core_budget`` splits the host's cores between concurrent jobs so a
+job's ``workers`` thread pool never oversubscribes it.  The boundary
+tests pin the column-0 regimes (local floor, global, incoming-gap and
+forced starts) that any split of the matrix into strips or tiles has to
+reproduce: every registered kernel backend must evolve column 0 exactly
+as the recurrence says, row by row.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
-import time
-
 import numpy as np
 import pytest
 
+from repro.align.kernels import backend_names, get_backend
+from repro.align.scoring import PAPER_SCHEME
 from repro.constants import NEG_INF, TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError
-from repro.align.rowscan import RowSweeper
-from repro.align.scoring import PAPER_SCHEME, ScoringScheme
-from repro.core import CUDAlign, run_stage1, small_config
-from repro.parallel import (MIN_PARALLEL_CELLS, ParallelRowSweeper,
-                            WavefrontExecutor, boundary_column, make_sweeper,
-                            plan_strip_cols)
-from repro.service import AlignmentService, JobSpec, JobState
+from repro.service import AlignmentService, JobSpec
 from repro.service.worker import core_budget
-from repro.storage.sra import SpecialLineStore
 
-from tests.conftest import SCHEMES, assert_sweeps_identical, make_pair
-
-#: (local, start_gap, forced) — every boundary regime the stages use:
-#: Stage 1 (local), Stage 2/3 goal sweeps (global, forced/unforced, both
-#: incoming gap types).
-REGIMES = [
-    ("local", dict(local=True, start_gap=TYPE_MATCH, forced=False)),
-    ("global", dict(local=False, start_gap=TYPE_MATCH, forced=False)),
-    ("gap-s0", dict(local=False, start_gap=TYPE_GAP_S0, forced=False)),
-    ("gap-s1", dict(local=False, start_gap=TYPE_GAP_S1, forced=False)),
-    ("forced-s0", dict(local=False, start_gap=TYPE_GAP_S0, forced=True)),
-    ("forced-s1", dict(local=False, start_gap=TYPE_GAP_S1, forced=True)),
-]
-
-#: (strip_cols, band_rows) — adversarial tile geometries: single-column
-#: strips, a strip wider than the whole matrix, a width that does not
-#: divide n, and the planner's own choice.
-GEOMETRIES = [(1, 7), (500, 1), (13, 50), (None, None)]
+from tests.conftest import SCHEMES
 
 
-def _serial(s0, s1, scheme, regime, **kw):
-    return RowSweeper(s0.codes, s1.codes, scheme, **regime, **kw)
-
-
-def _tiled(s0, s1, scheme, regime, geometry, executor=None, **kw):
-    strip, band = geometry
-    return ParallelRowSweeper(s0.codes, s1.codes, scheme, **regime,
-                              executor=executor, strip_cols=strip,
-                              band_rows=band, **kw)
-
-
-# The shared conformance assertion (tests/conftest.py) — kept under its
-# historical local name so the matrix of callers below stays readable.
-_assert_identical = assert_sweeps_identical
-
-
-class TestTileGridEquivalence:
-    """Inline (no pool) tile grid vs the serial kernel, cell for cell."""
-
-    @pytest.mark.parametrize("geometry", GEOMETRIES,
-                             ids=["strip1", "strip>n", "ragged", "auto"])
-    @pytest.mark.parametrize("regime", [r[1] for r in REGIMES],
-                             ids=[r[0] for r in REGIMES])
-    def test_bit_identity(self, rng, regime, geometry):
-        s0, s1 = make_pair(rng, 90, 77)
-        scheme = SCHEMES[len(str(geometry)) % len(SCHEMES)]
-        serial = _serial(s0, s1, scheme, regime, track_best=True,
-                         save_rows=np.array([16, 32, 77]),
-                         tap_columns=np.array([len(s1)]))
-        serial.run()
-        watch = serial.best if regime["local"] else None
-        kw = dict(track_best=True, save_rows=np.array([16, 32, 77]),
-                  tap_columns=np.array([len(s1)]))
-        serial = _serial(s0, s1, scheme, regime, watch_value=watch, **kw).run()
-        tiled = _tiled(s0, s1, scheme, regime, geometry,
-                       watch_value=watch, **kw).run()
-        _assert_identical(serial, tiled)
-
-    @pytest.mark.parametrize("scheme", SCHEMES,
-                             ids=["paper", "affine", "flat-gap", "zero-mm"])
-    def test_every_scheme(self, rng, scheme):
-        s0, s1 = make_pair(rng, 64, 51)
-        regime = dict(local=False, start_gap=TYPE_GAP_S0, forced=True)
-        serial = _serial(s0, s1, scheme, regime).run()
-        tiled = _tiled(s0, s1, scheme, regime, (9, 5)).run()
-        _assert_identical(serial, tiled)
-
-    def test_windowed_advance_matches(self, rng):
-        # Stage 1 drives the sweep in block_rows windows; the tile grid
-        # must agree at every window boundary, not just at the end.
-        s0, s1 = make_pair(rng, 96, 80)
-        regime = dict(local=True, start_gap=TYPE_MATCH, forced=False)
-        serial = _serial(s0, s1, PAPER_SCHEME, regime, track_best=True)
-        tiled = _tiled(s0, s1, PAPER_SCHEME, regime, (11, 6), track_best=True)
-        while not serial.done:
-            assert serial.advance(17) == tiled.advance(17)
-            np.testing.assert_array_equal(serial.H, tiled.H)
-            assert serial.best == tiled.best
-        assert tiled.done
-
-    def test_checkpoint_round_trip_across_kernels(self, rng):
-        # A state_dict taken mid-sweep by the tile grid resumes the
-        # *serial* kernel (and vice versa) to the same final state.
-        s0, s1 = make_pair(rng, 90, 70)
-        regime = dict(local=True, start_gap=TYPE_MATCH, forced=False)
-        tiled = _tiled(s0, s1, PAPER_SCHEME, regime, (13, 8), track_best=True)
-        tiled.advance(41)
-        resumed = _serial(s0, s1, PAPER_SCHEME, regime, track_best=True)
-        resumed.load_state(tiled.state_dict())
-        reference = _serial(s0, s1, PAPER_SCHEME, regime,
-                            track_best=True).run()
-        _assert_identical(reference, resumed.run())
-        _assert_identical(reference, tiled.run())
-
-
-class TestPooledExecution:
-    """The same grid scheduled across real worker processes."""
-
-    def test_pooled_sweep_bit_identical(self, rng):
-        s0, s1 = make_pair(rng, 200, 180)
-        serial = _serial(s0, s1, PAPER_SCHEME,
-                         dict(local=True, start_gap=TYPE_MATCH, forced=False),
-                         track_best=True, save_rows=np.array([64, 128]),
-                         tap_columns=np.array([len(s1)])).run()
-        with WavefrontExecutor(2) as executor:
-            pooled = make_sweeper(
-                s0.codes, s1.codes, PAPER_SCHEME, executor=executor,
-                local=True, track_best=True, save_rows=np.array([64, 128]),
-                tap_columns=np.array([len(s1)]))
-            assert isinstance(pooled, ParallelRowSweeper)
-            pooled.run()
-            _assert_identical(serial, pooled)
-
-    def test_full_pipeline_bit_identical(self, rng, tmp_path):
-        s0, s1 = make_pair(rng, 300, 280)
-        serial_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5)
-        wave_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5,
-                                executor="wavefront", workers=2)
-        ref = CUDAlign(serial_cfg, workdir=str(tmp_path / "serial")).run(s0, s1)
-        out = CUDAlign(wave_cfg, workdir=str(tmp_path / "wave")).run(s0, s1)
-        assert out.best_score == ref.best_score
-        assert out.stage1.end_point == ref.stage1.end_point
-        assert out.stage1.special_rows == ref.stage1.special_rows
-        assert out.stage2.crosspoints == ref.stage2.crosspoints
-        assert out.stage3.crosspoints == ref.stage3.crosspoints
-        assert out.stage4.crosspoints == ref.stage4.crosspoints
-        assert out.binary.encode() == ref.binary.encode()
-        assert out.metrics["wavefront.tiles"] > 0
-        assert ref.metrics.get("wavefront.tiles") is None
+def _column0(backend: str, m: int, scheme, **regime):
+    """Column-0 ``(H, E, F)`` for rows ``1..m`` as ``backend`` sweeps it."""
+    sweep = get_backend(backend).make(
+        np.zeros(m, dtype=np.uint8), np.zeros(1, dtype=np.uint8), scheme,
+        tap_columns=np.array([0]), save_rows=np.arange(1, m + 1),
+        **regime).run()
+    left_F = np.array([sweep.saved[i][1][0] for i in range(1, m + 1)])
+    return sweep.tap_H[1:, 0], sweep.tap_E[1:, 0], left_F
 
 
 class TestBoundaryColumn:
-    """The closed-form column 0 vs the serial recurrence, all regimes."""
+    """Each backend's column 0 vs the serial recurrence, all regimes."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("start_gap", [TYPE_MATCH, TYPE_GAP_S0,
@@ -172,6 +42,13 @@ class TestBoundaryColumn:
     @pytest.mark.parametrize("forced", [False, True])
     def test_matches_recurrence(self, scheme, start_gap, forced):
         m = 40
+        regime = dict(local=False, start_gap=start_gap, forced=forced)
+        if forced and start_gap == TYPE_MATCH:
+            # A forced start must name the gap run it is forced into.
+            for backend in backend_names():
+                with pytest.raises(ConfigError, match="gap-typed"):
+                    _column0(backend, m, scheme, **regime)
+            return
         h = int(NEG_INF) if forced else 0
         f = 0 if start_gap == TYPE_GAP_S1 else int(NEG_INF)
         want_H, want_X = [], []
@@ -180,60 +57,27 @@ class TestBoundaryColumn:
             h = max(f, int(NEG_INF))
             want_X.append(f)
             want_H.append(h)
-        left_H, left_E, left_X = boundary_column(
-            m, scheme, local=False, start_gap=start_gap, forced=forced)
-        np.testing.assert_array_equal(left_H, want_H)
-        np.testing.assert_array_equal(left_X, want_X)
-        np.testing.assert_array_equal(left_E, np.asarray(want_X) -
-                                      scheme.gap_open)
+        for backend in backend_names():
+            left_H, left_E, left_X = _column0(backend, m, scheme, **regime)
+            np.testing.assert_array_equal(left_H, want_H)
+            np.testing.assert_array_equal(left_X, want_X)
+            np.testing.assert_array_equal(left_E, np.full(m, NEG_INF))
 
     def test_local_is_flat_zero(self):
-        left_H, left_E, left_X = boundary_column(8, PAPER_SCHEME, local=True)
-        np.testing.assert_array_equal(left_H, np.zeros(8))
-        np.testing.assert_array_equal(left_X, np.zeros(8))
-        np.testing.assert_array_equal(left_E, np.full(8, NEG_INF))
+        for backend in backend_names():
+            left_H, left_E, left_X = _column0(backend, 8, PAPER_SCHEME,
+                                              local=True)
+            np.testing.assert_array_equal(left_H, np.zeros(8))
+            np.testing.assert_array_equal(left_X, np.full(8, NEG_INF))
+            np.testing.assert_array_equal(left_E, np.full(8, NEG_INF))
 
     def test_forced_column_floors_instead_of_sinking(self):
         # Once H clamps at NEG_INF, reopening a gap beats extending the
-        # sunk run: X must floor at NEG_INF - gap_first, not fall forever.
-        _, _, left_X = boundary_column(5000, PAPER_SCHEME, local=False,
-                                       start_gap=TYPE_GAP_S0, forced=True)
-        assert left_X.min() == int(NEG_INF) - PAPER_SCHEME.gap_first
-
-
-class TestSweeperSelection:
-    def test_small_matrix_falls_back_to_serial(self, rng):
-        s0, s1 = make_pair(rng, 40, 40)
-        assert 40 * 40 < MIN_PARALLEL_CELLS
-        with WavefrontExecutor(1) as executor:
-            sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                                 executor=executor)
-            assert type(sweep) is RowSweeper
-
-    def test_no_executor_falls_back_to_serial(self, rng):
-        s0, s1 = make_pair(rng, 200, 200)
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME, executor=None)
-        assert type(sweep) is RowSweeper
-
-    def test_interior_taps_fall_back_to_serial(self, rng):
-        s0, s1 = make_pair(rng, 200, 200)
-        with WavefrontExecutor(1) as executor:
-            sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                                 executor=executor,
-                                 tap_columns=np.array([3, 200]))
-            assert type(sweep) is RowSweeper
-
-    def test_parallel_sweeper_rejects_interior_taps(self, rng):
-        s0, s1 = make_pair(rng, 64, 64)
-        with pytest.raises(ConfigError):
-            ParallelRowSweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                               tap_columns=np.array([3]))
-
-    def test_strip_planner_covers_the_matrix(self):
-        for n in (1, 7, 64, 1000):
-            for workers in (1, 2, 8):
-                strip = plan_strip_cols(n, workers)
-                assert 1 <= strip <= n
+        # sunk run: F must floor at NEG_INF - gap_first, not fall forever.
+        for backend in backend_names():
+            _, _, left_X = _column0(backend, 5000, PAPER_SCHEME, local=False,
+                                    start_gap=TYPE_GAP_S0, forced=True)
+            assert left_X.min() == int(NEG_INF) - PAPER_SCHEME.gap_first
 
 
 class TestCoreBudget:

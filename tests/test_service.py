@@ -88,6 +88,18 @@ class TestJobSpec:
         with pytest.raises(ConfigError, match="unknown job spec"):
             JobSpec.from_json({"catalog": "162Kx172K", "bogus": 1})
 
+    def test_from_json_legacy_executor_field(self):
+        # Specs written while the wavefront executor existed carry an
+        # "executor" field; "serial" is today's behaviour and replays.
+        spec = JobSpec.from_json({"catalog": "162Kx172K",
+                                  "executor": "serial"})
+        assert spec == JobSpec.from_json({"catalog": "162Kx172K",
+                                          "job_id": spec.job_id})
+        assert "executor" not in spec.to_json()
+        with pytest.raises(ConfigError, match="wavefront executor was removed"):
+            JobSpec.from_json({"catalog": "162Kx172K",
+                               "executor": "wavefront"})
+
 
 # ----------------------------------------------------------------- cache
 class TestCache:
@@ -108,6 +120,14 @@ class TestCache:
         assert cache_key("d0", "d1", PAPER_SCHEME, fp) == base
         assert cache_key("d1", "d0", PAPER_SCHEME, fp) != base
         assert cache_key("d0", "d1", ScoringScheme(2, -1, 3, 1), fp) != base
+
+    def test_fingerprint_matches_entries_from_before_executor_removal(self):
+        # The digest a service root's cache was keyed with while
+        # PipelineConfig still had an executor field: those entries stay
+        # valid, so a resumed root keeps serving its duplicates.
+        spec = JobSpec(catalog="162Kx172K", kernel="batched")
+        assert (config_fingerprint(spec.pipeline_config(n=5000))
+                == "ace9a909867b1ffdabeb2cadf044f6f6a2b2062a64596baea153bf65afd4714d")
 
     def test_put_get_persists_across_instances(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -140,6 +160,29 @@ class TestJobQueue:
         assert queue.next_pending(skip={"hi1", "hi2"}) is low
         queue.mark_running(hi1)
         assert queue.next_pending().job_id == "hi2"
+
+    def test_replays_journal_with_executor_field(self, tmp_path):
+        # A "submitted" record byte for byte as journals written before
+        # the wavefront executor was removed store it: every spec carried
+        # "executor": "serial".  A service root from then must resume.
+        line = (
+            '{"crc":"74fa4a33","event":"submitted","job_id":"legacy",'
+            '"priority":0,"spec":{"block_rows":32,"catalog":"162Kx172K",'
+            '"checkpoint_every_rows":64,"deadline_seconds":null,'
+            '"executor":"serial","inject_crash_attempts":0,'
+            '"inject_failure_row":null,"inject_hang_row":null,'
+            '"job_id":"legacy","kernel":"rowscan","max_partition_size":32,'
+            '"max_retries":2,"max_rss_bytes":null,"priority":0,'
+            '"scale":8192,"scheme":[1,-3,5,2],"seed":0,"seq0":null,'
+            '"seq1":null,"sra_rows":8,"stall_seconds":null,"workers":1},'
+            '"time":1792215085.1199217}\n')
+        journal = tmp_path / JOURNAL_NAME
+        journal.write_text(line)
+        queue = JobQueue.recover(journal)
+        record = queue.get("legacy")
+        assert record.state == JobState.PENDING
+        assert record.spec == JobSpec(job_id="legacy", catalog="162Kx172K",
+                                      block_rows=32)
 
     def test_duplicate_id_rejected(self, tmp_path):
         queue = JobQueue(tmp_path / JOURNAL_NAME)
@@ -553,3 +596,4 @@ class TestCancellation:
         # The cancellation is durable: recover() sees the terminal state.
         recovered = JobQueue.recover(root / JOURNAL_NAME)
         assert recovered.get("victim").state == JobState.CANCELLED
+

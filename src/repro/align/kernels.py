@@ -10,8 +10,9 @@ every sweep is built as ``get_backend(config.kernel).make(...)``.
 
 Built-in backends:
 
-* ``rowscan`` — the serial reference: per-row vectorization with the
-  prefix-max E scan (:class:`~repro.align.rowscan.RowSweeper`).
+* ``rowscan`` — the serial reference: the prefix-max E scan row by row
+  (:class:`~repro.align.rowscan.RowSweeper`), in a C loop compiled at
+  first use, or in NumPy on hosts without a C compiler.
 * ``batched`` — rowscan with a leading batch axis
   (:class:`~repro.align.batched.BatchedRowSweeper`): K independent
   pairs per NumPy dispatch, the AnySeq/SaLoBa many-alignments-per-launch
@@ -114,5 +115,5 @@ def backend_names() -> tuple[str, ...]:
 register_backend(KernelBackend(
     name="rowscan",
     factory=RowSweeper,
-    description="per-row vectorization with the prefix-max E scan "
-                "(the serial reference kernel)"))
+    description="the serial reference kernel: prefix-max E scan per row "
+                "in a compiled C loop (NumPy body without a C compiler)"))

@@ -29,16 +29,29 @@ matching against an orthogonal special line), and a watch value (Stage 2's
 start-point detection).  Callers drive it in strips via :meth:`advance`,
 which is what makes goal-based early termination a *real* saving rather
 than bookkeeping.
+
+The rows themselves are swept by a compiled C loop (``_rowsweep.c``,
+built at first use by :mod:`repro.align.native`) when the host has a C
+compiler; otherwise by the NumPy body below.  Both are bit-identical.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
 from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError
+from repro.align import native
 from repro.align.profile import query_profile
 from repro.align.scoring import ScoringScheme
+
+#: The compiled row loop, loaded (and built, on a cold cache) at import:
+#: forked workers inherit it and no build lands inside a timed sweep.
+#: ``None`` when unavailable; :data:`NATIVE_FALLBACK` then says why
+#: (``no_compiler``, ``build_failed`` or ``no_source``).
+_ROWSWEEP, NATIVE_FALLBACK = native.load()
 
 
 class RowSweeper:
@@ -154,7 +167,8 @@ class RowSweeper:
                 if save_rows is not None and len(save_rows) else np.empty(0, np.int64))
         if save.size and (save.min() < 1 or save.max() > self.m):
             raise ConfigError("save rows out of range [1, m]")
-        self._save_rows = set(save.tolist())
+        self._save_list = save.tolist()
+        self._save_rows = set(self._save_list)
         self.saved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         # Per-row scratch buffers, allocated once.  _advance reuses X and
@@ -168,6 +182,7 @@ class RowSweeper:
         # Shared across sweepers over the same (scheme, columns) — see
         # repro.align.profile — and therefore read-only.
         self._sub_lut = query_profile(scheme, self.codes1)
+        self._native_args: tuple | None = None   # bound at first use
 
     # ------------------------------------------------------------------
     @property
@@ -177,8 +192,9 @@ class RowSweeper:
     def advance(self, nrows: int | None = None) -> int:
         """Process up to ``nrows`` further rows; returns the count processed.
 
-        The per-row body is 8 vectorized O(n) operations; see module
-        docstring for the scan derivation.
+        One compiled ``rowsweep`` call per run of rows between save rows,
+        or, without the library, 8 vectorized O(n) operations per row;
+        see module docstring for the scan derivation.
         """
         if nrows is None:
             nrows = self.m - self.i
@@ -194,6 +210,50 @@ class RowSweeper:
         return self._advance(nrows)
 
     def _advance(self, nrows: int) -> int:
+        if _ROWSWEEP is None:
+            return self._advance_numpy(nrows)
+        if self._native_args is None:
+            self._native_args = self._bind_native()
+        state = self._native_state
+        state[:3] = (self.best, *self.best_pos)
+        if self.watch_hit is not None:
+            state[3:] = self.watch_hit
+        # One C call per segment; segments end at save rows, where the
+        # snapshot is copied out before the sweep moves on.
+        stop = self.i + nrows
+        while self.i < stop:
+            k = bisect_right(self._save_list, self.i)
+            end = min(self._save_list[k], stop) if k < len(self._save_list) \
+                else stop
+            _ROWSWEEP(self.i, end - self.i, *self._native_args)
+            self.i = end
+            if end in self._save_rows:
+                self.saved[end] = (self.H.copy(), self.F.copy())
+        best, best_i, best_j, watch_i, watch_j = state.tolist()
+        self.best, self.best_pos = best, (best_i, best_j)
+        if watch_i >= 0:
+            self.watch_hit = (watch_i, watch_j)
+        self.cells += nrows * self.n
+        return nrows
+
+    def _bind_native(self) -> tuple:
+        """The fixed arguments of every ``rowsweep`` call on this sweeper
+        (raw pointers: the arrays are only ever updated in place)."""
+        if self.codes0.max() >= self._sub_lut.shape[0]:
+            # The C loop indexes the LUT by code without a bounds check.
+            raise ConfigError("row sequence holds codes outside the "
+                              "substitution table")
+        self._native_state = np.full(5, -1, dtype=np.int64)
+        taps = (None, 0, None, None) if self._taps is None else (
+            self._taps.ctypes.data, self._taps.size,
+            self.tap_H.ctypes.data, self.tap_E.ctypes.data)
+        return (self.codes0.ctypes.data, self._sub_lut.ctypes.data, self.n,
+                self.H.ctypes.data, self.E.ctypes.data, self.F.ctypes.data,
+                self.scheme.gap_first, self.scheme.gap_ext, int(NEG_INF),
+                self.local, self.track_best, self.watch_value is not None,
+                self.watch_value or 0, self._native_state.ctypes.data, *taps)
+
+    def _advance_numpy(self, nrows: int) -> int:
         scheme = self.scheme
         gext = SCORE_DTYPE(scheme.gap_ext)
         gfirst = SCORE_DTYPE(scheme.gap_first)

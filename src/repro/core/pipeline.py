@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.errors import ConfigError, IntegrityError
 from repro.integrity.codec import KIND_SPECIAL_LINE
+from repro.align import rowscan
 from repro.align.alignment import Alignment, Composition
 from repro.core.checkpoint import checkpoint_row
 from repro.core.config import PipelineConfig
@@ -189,6 +190,10 @@ class CUDAlign:
         memory = InMemorySink()
         tel = Telemetry(sinks=(memory,) + self.sinks,
                         observers=self.observers)
+        if rowscan.NATIVE_FALLBACK and self.config.kernel == "rowscan":
+            # The sweeps run rowscan's NumPy body: say so, and why.
+            tel.metrics.counter(
+                f"kernel.fallback.{rowscan.NATIVE_FALLBACK}").add(1)
         with tel.span("pipeline", s0=s0.name, s1=s1.name,
                       m=len(s0), n=len(s1)) as root:
             result = self._run_stages(s0, s1, tel, workdir,

@@ -39,7 +39,7 @@ _i32 = ctypes.c_int32
 _i64 = ctypes.c_int64
 #: ``rowsweep``'s signature; see the comment at the top of the source.
 ARGTYPES = (_i64, _i64, _p, _p, _i64, _p, _p, _p, _i32, _i32, _i32, _i32,
-            _i32, _i32, _i64, _p, _p, _i64, _p, _p)
+            _i32, _i32, _i64, _p, _p, _i64, _p, _p, _p, _p, _p)
 
 
 def source() -> Path:

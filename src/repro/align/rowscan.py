@@ -28,7 +28,10 @@ H/E/F rows, best-score tracking (Stage 1), special-row snapshots of (H, F)
 matching against an orthogonal special line), and a watch value (Stage 2's
 start-point detection).  Callers drive it in strips via :meth:`advance`,
 which is what makes goal-based early termination a *real* saving rather
-than bookkeeping.
+than bookkeeping.  :meth:`matrices` instead sweeps a fresh sweeper to the
+end and keeps every row: the full H/E/F matrices that Stage 5's base
+cases (:mod:`repro.align.full_matrix`) and semi-global alignment
+(:mod:`repro.align.semiglobal`) trace back through.
 
 The rows themselves are swept by a compiled C loop (``_rowsweep.c``,
 built at first use by :mod:`repro.align.native`) when the host has a C
@@ -45,6 +48,7 @@ from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_GAP_S0, TYPE_GAP_S1, TYPE
 from repro.errors import ConfigError
 from repro.align import native
 from repro.align.profile import query_profile
+from repro.align.reference import DPMatrices
 from repro.align.scoring import ScoringScheme
 
 #: The compiled row loop, loaded (and built, on a cold cache) at import:
@@ -52,6 +56,10 @@ from repro.align.scoring import ScoringScheme
 #: ``None`` when unavailable; :data:`NATIVE_FALLBACK` then says why
 #: (``no_compiler``, ``build_failed`` or ``no_source``).
 _ROWSWEEP, NATIVE_FALLBACK = native.load()
+
+#: Row-step modes of ``_rowsweep.c``: the column-0 boundary and the floor.
+#: SEMIGLOBAL is LOCAL without the interior zero floor.
+GLOBAL, LOCAL, SEMIGLOBAL = 0, 1, 2
 
 
 class RowSweeper:
@@ -100,6 +108,7 @@ class RowSweeper:
             raise ConfigError("cannot sweep empty sequences")
         self.scheme = scheme
         self.local = bool(local)
+        self._mode = LOCAL if local else GLOBAL
         if start_gap not in (TYPE_MATCH, TYPE_GAP_S0, TYPE_GAP_S1):
             raise ConfigError(f"invalid start_gap {start_gap!r}")
         if local and start_gap != TYPE_MATCH:
@@ -209,11 +218,42 @@ class RowSweeper:
             return done
         return self._advance(nrows)
 
-    def _advance(self, nrows: int) -> int:
+    def matrices(self, *, floor: bool = True) -> DPMatrices:
+        """Sweep every row of a fresh sweeper and keep them all: the
+        ``(m+1, n+1)`` H/E/F matrices.
+
+        The rows are the ones :meth:`advance` would produce (same row
+        loop, same best/watch/tap/save bookkeeping), each copied into the
+        matrices as it is finished.  ``floor=False`` drops the zero floor
+        from the interior cells of a local sweep and keeps its zero
+        boundaries: the semi-global recurrence.  Unlike :meth:`advance`,
+        this opens no tracer span.
+        """
+        if self.i:
+            raise ConfigError("matrices() needs a sweeper that has not "
+                              "advanced")
+        if not floor:
+            if not self.local:
+                raise ConfigError("floor=False needs a local sweep; global "
+                                  "sweeps have no zero floor")
+            self._mode = SEMIGLOBAL
+            self._native_args = None          # rebind with the new mode
+        shape = (self.m + 1, self.n + 1)
+        keep = DPMatrices(*(np.empty(shape, dtype=SCORE_DTYPE)
+                            for _ in range(3)))
+        keep.H[0], keep.E[0], keep.F[0] = self.H, self.E, self.F
+        # rowscan's own row loop, also under a subclass that replaces
+        # _advance with another kernel.
+        RowSweeper._advance(self, self.m, keep)
+        return keep
+
+    def _advance(self, nrows: int, keep: DPMatrices | None = None) -> int:
         if _ROWSWEEP is None:
-            return self._advance_numpy(nrows)
+            return self._advance_numpy(nrows, keep)
         if self._native_args is None:
             self._native_args = self._bind_native()
+        keep_ptrs = (None, None, None) if keep is None else (
+            keep.H.ctypes.data, keep.E.ctypes.data, keep.F.ctypes.data)
         state = self._native_state
         state[:3] = (self.best, *self.best_pos)
         if self.watch_hit is not None:
@@ -225,7 +265,7 @@ class RowSweeper:
             k = bisect_right(self._save_list, self.i)
             end = min(self._save_list[k], stop) if k < len(self._save_list) \
                 else stop
-            _ROWSWEEP(self.i, end - self.i, *self._native_args)
+            _ROWSWEEP(self.i, end - self.i, *self._native_args, *keep_ptrs)
             self.i = end
             if end in self._save_rows:
                 self.saved[end] = (self.H.copy(), self.F.copy())
@@ -250,10 +290,10 @@ class RowSweeper:
         return (self.codes0.ctypes.data, self._sub_lut.ctypes.data, self.n,
                 self.H.ctypes.data, self.E.ctypes.data, self.F.ctypes.data,
                 self.scheme.gap_first, self.scheme.gap_ext, int(NEG_INF),
-                self.local, self.track_best, self.watch_value is not None,
+                self._mode, self.track_best, self.watch_value is not None,
                 self.watch_value or 0, self._native_state.ctypes.data, *taps)
 
-    def _advance_numpy(self, nrows: int) -> int:
+    def _advance_numpy(self, nrows: int, keep: DPMatrices | None) -> int:
         scheme = self.scheme
         gext = SCORE_DTYPE(scheme.gap_ext)
         gfirst = SCORE_DTYPE(scheme.gap_first)
@@ -262,6 +302,7 @@ class RowSweeper:
         egap = self._egap
         X, T = self._X, self._T
         local = self.local
+        floor = self._mode == LOCAL
         stop = self.i + nrows
         while self.i < stop:
             i = self.i + 1
@@ -278,7 +319,8 @@ class RowSweeper:
             if local:
                 X[0] = 0
                 F[0] = NEG_INF
-                np.maximum(X, 0, out=X)
+                if floor:
+                    np.maximum(X, 0, out=X)
             else:
                 X[0] = F[0]
             # E via the prefix-max scan.
@@ -288,6 +330,8 @@ class RowSweeper:
             E[0] = NEG_INF
             np.maximum(X, E, out=H)
             self.i = i
+            if keep is not None:
+                keep.H[i], keep.E[i], keep.F[i] = H, E, F
 
             if self.track_best or self.watch_value is not None:
                 row_max = int(H.max())

@@ -74,7 +74,8 @@ class ScoringScheme:
         return np.where(eq, SCORE_DTYPE(self.match), SCORE_DTYPE(self.mismatch))
 
     def substitution_matrix(self, codes0: np.ndarray, codes1: np.ndarray) -> np.ndarray:
-        """Outer substitution-score matrix (m x n); used by reference kernels only."""
+        """Outer substitution-score matrix (m x n): the scores every
+        traceback checks diagonal steps against."""
         eq = codes0[:, None] == codes1[None, :]
         eq &= (codes0 != N_CODE)[:, None]
         return np.where(eq, SCORE_DTYPE(self.match), SCORE_DTYPE(self.mismatch))

@@ -8,9 +8,11 @@ score is the maximum over the bottom row and right column).  Used to
 anchor one sequence inside another without local alignment's interior
 zero-resets — e.g. placing a contig against a chromosome.
 
-Built on the same vectorized machinery as everything else: a
-:class:`RowSweeper`-style full-matrix pass with free boundaries and the
-shared affine traceback.
+Built on the same row loop as everything else: the matrices are
+:meth:`RowSweeper.matrices <repro.align.rowscan.RowSweeper.matrices>` of a
+local sweep with ``floor=False`` — zero boundaries on row 0 and column 0
+(free leading gaps), but no zero floor on interior cells — and the path
+comes from the shared affine traceback.
 
 Convention: the *empty overlap* — both sequences consumed entirely by
 free leading/trailing gaps — is a valid semi-global alignment of score 0,
@@ -24,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_MATCH
+from repro.constants import TYPE_MATCH
 from repro.errors import AlignmentError
 from repro.align.alignment import Alignment
-from repro.align.full_matrix import _sub_matrix
-from repro.align.reference import DPMatrices, _traceback
+from repro.align.reference import _traceback
+from repro.align.rowscan import RowSweeper
 from repro.align.scoring import ScoringScheme
-from repro.sequences.sequence import N_CODE, Sequence
+from repro.sequences.sequence import Sequence
 
 
 @dataclass(frozen=True)
@@ -49,44 +51,6 @@ class SemiGlobalResult:
         return self.alignment.end
 
 
-def _semiglobal_matrices(codes0: np.ndarray, codes1: np.ndarray,
-                         scheme: ScoringScheme) -> DPMatrices:
-    """Full H/E/F with free start boundaries (H = 0 on row 0 / column 0)."""
-    m, n = codes0.size, codes1.size
-    gext = SCORE_DTYPE(scheme.gap_ext)
-    gfirst = SCORE_DTYPE(scheme.gap_first)
-    ext_ramp = np.arange(n + 1, dtype=SCORE_DTYPE) * gext
-    H = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
-    E = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
-    F = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
-    H[0] = 0
-    E[0] = NEG_INF
-    F[0] = NEG_INF
-
-    sub_lut = np.full((5, n), SCORE_DTYPE(scheme.mismatch), dtype=SCORE_DTYPE)
-    for code in range(4):
-        sub_lut[code, codes1 == code] = SCORE_DTYPE(scheme.match)
-    sub_lut[N_CODE, :] = SCORE_DTYPE(scheme.mismatch)
-
-    X = np.empty(n + 1, dtype=SCORE_DTYPE)
-    T = np.empty(n + 1, dtype=SCORE_DTYPE)
-    for i in range(1, m + 1):
-        sub = sub_lut[codes0[i - 1]]
-        np.maximum(F[i - 1] - gext, H[i - 1] - gfirst, out=F[i])
-        np.add(H[i - 1, :-1], sub, out=X[1:])
-        np.maximum(X[1:], F[i, 1:], out=X[1:])
-        X[0] = 0          # free start on the left column
-        F[i, 0] = NEG_INF
-        np.add(X, ext_ramp, out=T)
-        np.maximum.accumulate(T, out=T)
-        E[i, 1:] = T[:-1]
-        E[i, 1:] -= gfirst + ext_ramp[:-1]
-        E[i, 0] = NEG_INF
-        np.maximum(X, E[i], out=H[i])
-        H[i, 0] = 0
-    return DPMatrices(H, E, F)
-
-
 def semiglobal_align(s0: Sequence | np.ndarray, s1: Sequence | np.ndarray,
                      scheme: ScoringScheme) -> SemiGlobalResult:
     """Optimal semi-global alignment (free leading and trailing gaps)."""
@@ -95,7 +59,7 @@ def semiglobal_align(s0: Sequence | np.ndarray, s1: Sequence | np.ndarray,
     m, n = codes0.size, codes1.size
     if m == 0 or n == 0:
         raise AlignmentError("cannot align empty sequences")
-    mats = _semiglobal_matrices(codes0, codes1, scheme)
+    mats = RowSweeper(codes0, codes1, scheme, local=True).matrices(floor=False)
     # Free end: best cell on the bottom row or right column.
     bottom_j = int(np.argmax(mats.H[m]))
     right_i = int(np.argmax(mats.H[:, n]))
@@ -104,7 +68,7 @@ def semiglobal_align(s0: Sequence | np.ndarray, s1: Sequence | np.ndarray,
     else:
         i, j = right_i, n
     score = int(mats.H[i, j])
-    sub = _sub_matrix(codes0, codes1, scheme)
+    sub = scheme.substitution_matrix(codes0, codes1)
     path = _traceback(mats, sub, scheme, i, j, TYPE_MATCH, local=False,
                       free_start=True)
     return SemiGlobalResult(alignment=path, score=score)

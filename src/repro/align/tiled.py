@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.constants import NEG_INF, SCORE_DTYPE
 from repro.errors import ConfigError
+from repro.align.profile import build_profile
 from repro.align.scoring import ScoringScheme
-from repro.sequences.sequence import N_CODE
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,7 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
     gopen = SCORE_DTYPE(scheme.gap_open)
     ext_ramp = np.arange(w + 1, dtype=SCORE_DTYPE) * gext
 
-    sub_lut = np.full((5, w), SCORE_DTYPE(scheme.mismatch), dtype=SCORE_DTYPE)
-    for code in range(4):
-        sub_lut[code, codes1 == code] = SCORE_DTYPE(scheme.match)
-    sub_lut[N_CODE, :] = SCORE_DTYPE(scheme.mismatch)
+    sub_lut = build_profile(scheme, codes1)
 
     H = edges.top_H.astype(SCORE_DTYPE, copy=True)
     E = edges.top_E.astype(SCORE_DTYPE, copy=True)

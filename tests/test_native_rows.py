@@ -5,6 +5,8 @@ library loaded and the NumPy body otherwise; both must produce every
 observable bit for bit (``assert_sweeps_identical``), and both must
 agree with :mod:`repro.align.reference` wherever the reference is
 defined.  The ``numpy_body`` fixture forces the NumPy body for one test.
+The same holds for the full matrices that :meth:`RowSweeper.matrices`
+keeps for ``full_matrix`` and ``semiglobal``.
 
 The second half covers how the library is built and loaded: the cache,
 concurrent first users, every fallback reason, and the
@@ -24,15 +26,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.align import native, reference, rowscan
+from repro.align import full_matrix, native, reference, rowscan, semiglobal
+from repro.align.reference import DPMatrices
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import PAPER_SCHEME, ScoringScheme
-from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
+from repro.constants import (NEG_INF, SCORE_DTYPE, TYPE_GAP_S0, TYPE_GAP_S1,
+                             TYPE_MATCH)
 from repro.core import CUDAlign, small_config
-from repro.errors import ConfigError
+from repro.errors import AlignmentError, ConfigError
 from repro.sequences.sequence import Sequence
 from repro.sequences.synth import homologous_pair, random_dna
 
@@ -249,6 +253,165 @@ class TestNumpyBody:
         assert peak - base < 32 * 1024, (
             f"NumPy body allocated {peak - base} bytes for 8 rows "
             f"at n={n}; a per-row temporary would cost >= {4 * (n + 1)}")
+
+
+# ------------------------------------------------------- full matrices
+@pytest.fixture(params=["compiled", "numpy"])
+def body(request):
+    """Run the test on the compiled row loop, then on the NumPy body."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_body")
+    elif rowscan._ROWSWEEP is None:
+        pytest.skip(f"compiled row loop unavailable "
+                    f"({rowscan.NATIVE_FALLBACK})")
+    return request.param
+
+
+def semiglobal_oracle(codes0, codes1, scheme) -> DPMatrices:
+    """Equations 1-3 cell by cell with free starts: H is 0 on row 0 and
+    column 0, E and F are -inf there, and interior cells have no floor."""
+    m, n = codes0.size, codes1.size
+    H = np.zeros((m + 1, n + 1), dtype=SCORE_DTYPE)
+    E = np.full((m + 1, n + 1), NEG_INF, dtype=SCORE_DTYPE)
+    F = np.full((m + 1, n + 1), NEG_INF, dtype=SCORE_DTYPE)
+    sub = scheme.substitution_matrix(codes0, codes1)
+    gfirst, gext = scheme.gap_first, scheme.gap_ext
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            E[i, j] = max(int(E[i, j - 1]) - gext, int(H[i, j - 1]) - gfirst)
+            F[i, j] = max(int(F[i - 1, j]) - gext, int(H[i - 1, j]) - gfirst)
+            H[i, j] = max(int(E[i, j]), int(F[i, j]),
+                          int(H[i - 1, j - 1]) + int(sub[i - 1, j - 1]))
+    return DPMatrices(H, E, F)
+
+
+def assert_matrices_equal(got: DPMatrices, want: DPMatrices) -> None:
+    for name in ("H", "E", "F"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=name)
+
+
+#: Gaps this large wrap int32 within a few columns; 2**27 on at most 4x4
+#: stays in range, so the per-cell oracles still apply.
+HUGE_GAPS = [
+    ScoringScheme(match=1, mismatch=-1, gap_first=2**30, gap_ext=2**28),
+    ScoringScheme(match=3, mismatch=-3, gap_first=2**31 - 1,
+                  gap_ext=2**31 - 1),
+]
+HUGE_NO_WRAP = ScoringScheme(match=1, mismatch=-1, gap_first=2**27,
+                             gap_ext=2**27)
+
+
+class TestFullMatrices:
+    """``full_matrix.dp_matrices`` and the semi-global matrices, both
+    kept rows of :meth:`RowSweeper.matrices`, on each row-loop body."""
+
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=sweep_cases())
+    @example(case=(np.array([0, 4, 2, 1], np.uint8),
+                   np.array([0, 2, 4, 1], np.uint8), HUGE_NO_WRAP,
+                   [], {}))
+    @example(case=(np.array([4, 3], np.uint8), np.array([1, 4, 3], np.uint8),
+                   HUGE_NO_WRAP, [], {}))
+    def test_differential(self, body, case):
+        """Random schemes (``gap_first == gap_ext`` included), N codes,
+        1xn and nx1 shapes: local and global x the three start gaps
+        against the reference, semi-global against its oracle."""
+        codes0, codes1, scheme = case[:3]
+        s0, s1 = Sequence(codes0), Sequence(codes1)
+        assert_matrices_equal(
+            full_matrix.dp_matrices(codes0, codes1, scheme, local=True),
+            reference.sw_matrices(s0, s1, scheme))
+        for start_gap in (TYPE_MATCH, TYPE_GAP_S0, TYPE_GAP_S1):
+            assert_matrices_equal(
+                full_matrix.dp_matrices(codes0, codes1, scheme, local=False,
+                                        start_gap=start_gap),
+                reference.global_matrices(s0, s1, scheme,
+                                          start_gap=start_gap))
+        semi = RowSweeper(codes0, codes1, scheme,
+                          local=True).matrices(floor=False)
+        assert_matrices_equal(semi, semiglobal_oracle(codes0, codes1, scheme))
+        free_end = max(semi.H[-1].max(), semi.H[:, -1].max())
+        assert semiglobal.semiglobal_score(codes0, codes1, scheme) == free_end
+
+    @compiled
+    @pytest.mark.parametrize("scheme", HUGE_GAPS)
+    @pytest.mark.parametrize("regime, floor", [
+        (dict(local=True), True),
+        (dict(local=True), False),
+        (dict(local=False), True),
+        (dict(start_gap=TYPE_GAP_S0), True),
+        (dict(start_gap=TYPE_GAP_S1), True),
+    ])
+    def test_int32_headroom_huge_gaps(self, rng, scheme, regime, floor):
+        """Where int32 wraps, no per-cell oracle applies, but both bodies
+        must keep the same rows, and every kept row must be the row
+        ``advance`` reaches (its saved H and F)."""
+        codes0 = random_dna(40, rng, "a").codes
+        codes1 = random_dna(70, rng, "b").codes
+        kept = []
+        for body in (rowscan._ROWSWEEP, None):
+            saved = rowscan._ROWSWEEP
+            rowscan._ROWSWEEP = body
+            try:
+                mats = RowSweeper(codes0, codes1, scheme,
+                                  **regime).matrices(floor=floor)
+                rows = RowSweeper(codes0, codes1, scheme, **regime,
+                                  save_rows=np.arange(1, 41))
+            finally:
+                rowscan._ROWSWEEP = saved
+            if floor:
+                rows.run()
+                for i, (h, f) in rows.saved.items():
+                    np.testing.assert_array_equal(mats.H[i], h)
+                    np.testing.assert_array_equal(mats.F[i], f)
+                np.testing.assert_array_equal(mats.E[-1], rows.E)
+            kept.append(mats)
+        assert_matrices_equal(*kept)
+
+    def test_matrices_refuses_an_advanced_sweeper(self, body):
+        sweep = RowSweeper(np.zeros(3, np.uint8), np.zeros(4, np.uint8),
+                           PAPER_SCHEME, local=True)
+        sweep.advance(1)
+        with pytest.raises(ConfigError, match="advanced"):
+            sweep.matrices()
+
+    @pytest.mark.parametrize("regime", REGIMES[1:])
+    def test_floor_false_is_refused_on_global_sweeps(self, regime):
+        sweep = RowSweeper(np.zeros(3, np.uint8), np.zeros(4, np.uint8),
+                           PAPER_SCHEME, **regime)
+        with pytest.raises(ConfigError, match="floor"):
+            sweep.matrices(floor=False)
+
+    @pytest.mark.parametrize("align", [
+        lambda a, b: full_matrix.dp_matrices(a, b, PAPER_SCHEME, local=True),
+        lambda a, b: full_matrix.dp_matrices(a, b, PAPER_SCHEME,
+                                             local=False),
+        lambda a, b: full_matrix.local_align(a, b, PAPER_SCHEME),
+        lambda a, b: full_matrix.global_align(a, b, PAPER_SCHEME),
+        lambda a, b: semiglobal.semiglobal_align(a, b, PAPER_SCHEME),
+        lambda a, b: semiglobal.semiglobal_score(a, b, PAPER_SCHEME),
+    ], ids=["dp_local", "dp_global", "local_align", "global_align",
+            "semiglobal_align", "semiglobal_score"])
+    def test_empty_input_is_an_alignment_error(self, align):
+        """Not the sweeper's ConfigError: callers of the aligners catch
+        AlignmentError."""
+        empty, three = np.empty(0, np.uint8), np.zeros(3, np.uint8)
+        for codes0, codes1 in ((empty, three), (three, empty)):
+            with pytest.raises(AlignmentError):
+                align(codes0, codes1)
+
+    def test_base_cases_do_not_advance(self, rng, monkeypatch):
+        """Full matrices are not counted as sweeps: ``advance`` (the
+        per-layer benchmark's rowscan wrap point) is never called."""
+        def refuse(self, nrows=None):
+            raise AssertionError("a full-matrix alignment called advance")
+        monkeypatch.setattr(RowSweeper, "advance", refuse)
+        s0, s1 = homologous_pair(30, rng)
+        full_matrix.global_align(s0, s1, PAPER_SCHEME, start_gap=TYPE_GAP_S0)
+        full_matrix.local_align(s0, s1, PAPER_SCHEME)
+        semiglobal.semiglobal_align(s0, s1, PAPER_SCHEME)
 
 
 # --------------------------------------------------- build and fallback
